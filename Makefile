@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race faults chaos chaos-disk chaos-cluster cluster-smoke fairness bench bench-msa bench-msa-smoke swar-smoke serve-bench serve-smoke cluster-bench bench-batch batch-smoke
+.PHONY: all build test check fmt vet race faults chaos chaos-disk chaos-cluster cluster-smoke fairness bench bench-msa bench-msa-smoke swar-smoke serve-bench serve-smoke cluster-bench bench-batch batch-smoke perfbench-test
 
 all: build
 
@@ -87,7 +87,14 @@ cluster-smoke:
 fairness:
 	$(GO) run -race ./cmd/afload -fairness -seed 7 -threads 2 -msa-workers 4 -gpu-workers 2
 
-check: fmt vet test race faults chaos chaos-disk chaos-cluster cluster-smoke fairness swar-smoke bench-msa-smoke serve-smoke batch-smoke
+check: fmt vet test race faults chaos chaos-disk chaos-cluster cluster-smoke fairness swar-smoke bench-msa-smoke serve-smoke batch-smoke perfbench-test
+
+# The end-to-end benchmark harness is its own module (perfbench/go.mod,
+# replacing afsysbench with ../), so `go test ./...` here never compiles
+# it. Its self-tests build it against the current serve API and check its
+# measurement plumbing.
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 # Cluster scaling benchmark: the full shards × replicas sweep merged into
 # BENCH_serve.json as the cluster_scaling section (run serve-bench first so

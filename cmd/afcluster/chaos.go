@@ -67,7 +67,7 @@ func runChaos(o options) int {
 
 	fmt.Fprintf(os.Stderr, "chaos-cluster: storm — %d requests over %d shards × %d replicas, killing nodes %d,%d and replica %d\n",
 		o.n, o.shards, o.replicas, killNodeA, killNodeB, victimReplica)
-	rig := buildRig(suite, o, serve.HedgeConfig{})
+	rig := buildRig(suite, o)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 
 	// Kill triggers: node A after a third of the trace completes, node B
@@ -121,7 +121,7 @@ func runChaos(o options) int {
 			lost++
 			continue
 		}
-		if resultDigest(results[i].Result) != digests[trace[i]] {
+		if results[i].Result.Digest() != digests[trace[i]] {
 			wrong++
 			if wrong <= 3 {
 				violations = append(violations, fmt.Sprintf("request %d (%s): WRONG RESULT after kill storm", i, trace[i]))

@@ -145,18 +145,6 @@ func buildTrace(samples []string, weights []int, n int, seed uint64) []string {
 	return trace
 }
 
-// resultDigest captures everything about a request's outcome that the
-// cluster tier must never change — the same fields the cache chaos gate
-// pins.
-func resultDigest(res *core.PipelineResult) string {
-	return fmt.Sprintf("%s|%x|%x|%x|%x|%x|%d|%d|%d",
-		res.Sample,
-		res.MSASeconds, res.MSACPUSeconds, res.MSADiskSeconds,
-		res.Inference.ComputeSeconds, res.Inference.Total(),
-		res.MSAData.Features.Bytes(),
-		res.MSAData.TotalHitResidues, res.MSAData.SerialInstructions)
-}
-
 // reference runs each distinct trace sample once through the single-node
 // pipeline with the exact per-request options the serving tier uses
 // (canonical run index, fresh MSA, warm model) and returns the per-sample
@@ -185,7 +173,7 @@ func reference(suite *core.Suite, trace []string, threads int) (map[string]strin
 			return nil, nil, fmt.Errorf("reference inference %s: %w", sample, err)
 		}
 		res := core.ComposeResult(in, mach, threads, mp, pb)
-		digests[sample] = resultDigest(res)
+		digests[sample] = res.Digest()
 		pt := cluster.PointFromResult(res)
 		bySample[sample] = pt
 		points = append(points, pt)
@@ -201,7 +189,7 @@ type clusterRig struct {
 	router   *cluster.Router
 }
 
-func buildRig(suite *core.Suite, o options, hedge serve.HedgeConfig) *clusterRig {
+func buildRig(suite *core.Suite, o options) *clusterRig {
 	queue := o.queue
 	if queue <= 0 {
 		queue = o.n + 1
@@ -218,7 +206,7 @@ func buildRig(suite *core.Suite, o options, hedge serve.HedgeConfig) *clusterRig
 		})
 		reps[i].Start()
 	}
-	return &clusterRig{cl: cl, replicas: reps, router: cluster.NewRouter(reps, cluster.RouterConfig{Hedge: hedge})}
+	return &clusterRig{cl: cl, replicas: reps, router: cluster.NewRouter(reps, cluster.RouterConfig{})}
 }
 
 func (r *clusterRig) stop() {
@@ -277,13 +265,11 @@ type scalingSection struct {
 }
 
 // routingBreakdown folds the scatter layer's per-node counters and the
-// router's failover/hedge counters into the same one-stop block afload
+// router's failover counters into the same one-stop block afload
 // embeds in its per-pass stats, with one per-shard row per node.
 func routingBreakdown(cl cluster.Stats, rt cluster.RouterStats) *serve.RoutingBreakdown {
 	rb := &serve.RoutingBreakdown{
 		ShedReroutes:     rt.ShedReroutes,
-		Hedges:           rt.Hedges,
-		HedgeBackupWins:  rt.HedgeBackupWins,
 		ReplicaFailovers: rt.Failovers,
 		ShardFailovers:   cl.Failovers,
 	}
@@ -324,7 +310,7 @@ func run(o options) (*scalingSection, []string, error) {
 	}
 
 	fmt.Fprintf(os.Stderr, "afcluster: cluster pass (%d shards × %d replicas, %d requests)\n", o.shards, o.replicas, o.n)
-	rig := buildRig(suite, o, serve.HedgeConfig{})
+	rig := buildRig(suite, o)
 	defer rig.stop()
 	workers := o.concurrency
 	if workers <= 0 {
@@ -347,7 +333,7 @@ func run(o options) (*scalingSection, []string, error) {
 			match = false
 			continue
 		}
-		if got, want := resultDigest(res.Result), digests[trace[i]]; got != want {
+		if got, want := res.Result.Digest(), digests[trace[i]]; got != want {
 			violations = append(violations, fmt.Sprintf("request %d (%s): digest mismatch\n  got  %s\n  want %s", i, trace[i], got, want))
 			match = false
 		}

@@ -75,17 +75,6 @@ type ChaosDiskReport struct {
 	Violations []string `json:"violations,omitempty"`
 }
 
-// resultDigest captures everything about a request's outcome that the
-// cache tiers must never change.
-func resultDigest(res *core.PipelineResult) string {
-	return fmt.Sprintf("%s|%x|%x|%x|%x|%x|%d|%d|%d",
-		res.Sample,
-		res.MSASeconds, res.MSACPUSeconds, res.MSADiskSeconds,
-		res.Inference.ComputeSeconds, res.Inference.Total(),
-		res.MSAData.Features.Bytes(),
-		res.MSAData.TotalHitResidues, res.MSAData.SerialInstructions)
-}
-
 // chaosDiskPass runs the trace through one server configuration and
 // returns the per-sample digests plus the statuses. A sample whose
 // repeats disagree with each other is itself a violation, recorded by the
@@ -112,7 +101,7 @@ func chaosDiskPass(o options, suite *core.Suite, mach platform.Machine, trace []
 		if !ok {
 			return s, statuses, digests, fmt.Errorf("no result for done job %s", st.ID)
 		}
-		d := resultDigest(res)
+		d := res.Digest()
 		if prev, dup := digests[st.Sample]; dup && prev != d {
 			return s, statuses, digests, fmt.Errorf("sample %s nondeterministic within one pass", st.Sample)
 		}

@@ -143,9 +143,9 @@ func runQoSPass(o options, suite *core.Suite, mach platform.Machine, tenants []t
 		PartialMSA:      m.Get("requests_partial_msa"),
 	}
 	stats.Fairness = s.FairnessReport(fairModeledCPU, fairModeledGPU)
-	// Open-loop latency is the modeled per-tenant distribution; the
-	// headline Latency block aggregates all tenants on the same replay.
-	stats.Latency = serve.Summarize(allModeledLatencies(stats.Fairness))
+	// Open-loop latency is the modeled distribution over every tenant,
+	// from the same replay as the per-tenant rows.
+	stats.Latency = stats.Fairness.Latency
 	cfg := s.Config()
 	sched := s.ModeledSchedule(cfg.MSAWorkers, cfg.GPUWorkers)
 	stats.ModeledMakespan = sched.Makespan
@@ -155,22 +155,6 @@ func runQoSPass(o options, suite *core.Suite, mach platform.Machine, tenants []t
 	}
 	stats.Batch = s.BatchReport()
 	return stats, nil
-}
-
-// allModeledLatencies flattens the per-tenant modeled latency rows into
-// one series for the headline percentiles. Percentile interpolation
-// needs raw samples, which the rows no longer carry, so this rebuilds an
-// approximate series by repeating each tenant's p50 — good enough for a
-// label-level summary. (Per-tenant numbers, the ones the gate asserts
-// on, are exact.)
-func allModeledLatencies(rep *serve.FairnessReport) []float64 {
-	var out []float64
-	for _, row := range rep.Latencies {
-		for i := 0; i < row.Completed; i++ {
-			out = append(out, row.Latency.P50Ms)
-		}
-	}
-	return out
 }
 
 // runQoS is the -qos mode: one tenant-aware open-loop pass over the

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -20,12 +19,6 @@ type RouterConfig struct {
 	// (default: replica count, minimum 2) — each attempt after the first
 	// is a failover or a shed reroute.
 	MaxAttempts int
-	// Hedge enables request-level latency hedging: once MinSamples
-	// request latencies are observed, a request still running after
-	// Factor × the Percentile-th latency gets a backup submission on a
-	// different replica, and the first finisher wins. Same estimator
-	// shape as the server's chain-level serve.HedgeConfig, one level up.
-	Hedge serve.HedgeConfig
 	// PollInterval is the job-status polling period (default 200µs —
 	// modeled stages finish in milliseconds).
 	PollInterval time.Duration
@@ -58,7 +51,6 @@ type Router struct {
 	dispatches  []int64
 	killed      []bool
 	stats       RouterStats
-	samples     []time.Duration
 }
 
 // RouterStats is the router's counter snapshot.
@@ -71,10 +63,6 @@ type RouterStats struct {
 	// an admission shed.
 	Failovers    int64 `json:"failovers"`
 	ShedReroutes int64 `json:"shed_reroutes"`
-	// Hedges counts backup submissions; HedgeBackupWins how often the
-	// backup finished first.
-	Hedges          int64 `json:"hedges"`
-	HedgeBackupWins int64 `json:"hedge_backup_wins"`
 	// PerReplica is one row per replica, in replica order.
 	PerReplica []ReplicaStats `json:"per_replica"`
 }
@@ -92,12 +80,8 @@ type RouteResult struct {
 	// submissions it took (1 = first try).
 	Replica  int
 	Attempts int
-	// Hedged marks a request that got a backup submission; BackupWon that
-	// the backup finished first.
-	Hedged    bool
-	BackupWon bool
-	Status    serve.JobStatus
-	Result    *core.PipelineResult
+	Status   serve.JobStatus
+	Result   *core.PipelineResult
 }
 
 // NewRouter builds a router over started (or to-be-started) replicas.
@@ -187,20 +171,17 @@ func (r *Router) pick(exclude map[int]bool) int {
 // Do routes one request to completion: submit to the best replica, wait,
 // and on a shed, failure, or replica death retry on another replica with
 // the same chain checkpoint — so chains the failed attempt completed are
-// replayed, not recomputed. With hedging enabled a straggling request
-// gets a concurrent backup on a different replica and the first terminal
-// result wins (both compute the same deterministic result).
+// replayed, not recomputed.
 func (r *Router) Do(ctx context.Context, req serve.Request) (RouteResult, error) {
 	if req.Checkpoint == nil {
-		// One checkpoint per logical request, shared by every attempt and
-		// hedge backup across replicas. Replicas share one suite, so the
-		// checkpoint scopes (database-profile signatures) line up.
+		// One checkpoint per logical request, shared by every attempt
+		// across replicas. Replicas share one suite, so the checkpoint
+		// scopes (database-profile signatures) line up.
 		req.Checkpoint = msa.NewCheckpoint()
 	}
 	r.mu.Lock()
 	r.stats.Requests++
 	r.mu.Unlock()
-	start := time.Now()
 
 	var lastErr error
 	exclude := make(map[int]bool)
@@ -231,7 +212,7 @@ func (r *Router) Do(ctx context.Context, req serve.Request) (RouteResult, error)
 				// rejected request and burn attempts laundering the quota.
 				// Only a queue-full shed is worth trying elsewhere.
 				if reason := resilience.ShedReasonOf(err); reason != resilience.ShedQueueFull {
-					r.finish(time.Since(start), false)
+					r.finish(false)
 					return out, err
 				}
 				r.mu.Lock()
@@ -242,19 +223,14 @@ func (r *Router) Do(ctx context.Context, req serve.Request) (RouteResult, error)
 			continue
 		}
 		r.noteSubmit(replica, 1)
-		st, won := r.await(ctx, &out, replica, srv, id, req, start)
+		out.Replica = replica
+		out.Status = r.await(ctx, srv, id)
 		r.noteSubmit(replica, -1)
-		if won != nil {
-			out = *won
-		} else {
-			out.Replica = replica
-			out.Status = st
-		}
 		if out.Status.State == serve.StateDone.String() {
-			if res, ok := r.replicas[out.Replica].Result(out.Status.ID); ok {
+			if res, ok := srv.Result(out.Status.ID); ok {
 				out.Result = res
 			}
-			r.finish(time.Since(start), true)
+			r.finish(true)
 			return out, nil
 		}
 		lastErr = errors.New(out.Status.Error)
@@ -265,65 +241,21 @@ func (r *Router) Do(ctx context.Context, req serve.Request) (RouteResult, error)
 			r.mu.Unlock()
 		}
 	}
-	r.finish(time.Since(start), false)
+	r.finish(false)
 	return out, lastErr
 }
 
-// await polls the primary job until terminal, arming at most one hedge
-// backup on a different replica once the latency budget passes. It
-// returns the primary's terminal status, plus a non-nil RouteResult when
-// the backup reached StateDone first.
-func (r *Router) await(ctx context.Context, out *RouteResult, primary int, srv *serve.Server, id string, req serve.Request, start time.Time) (serve.JobStatus, *RouteResult) {
-	budget := r.hedgeBudget()
-	var backupSrv *serve.Server
-	var backupID string
-	backupReplica := -1
-	defer func() {
-		if backupReplica >= 0 {
-			r.noteSubmit(backupReplica, -1)
-		}
-	}()
+// await polls the job until it is terminal or ctx is done.
+func (r *Router) await(ctx context.Context, srv *serve.Server, id string) serve.JobStatus {
 	tick := time.NewTicker(r.cfg.PollInterval)
 	defer tick.Stop()
 	for {
-		st, ok := srv.Status(id)
-		if ok && terminal(st.State) {
-			return st, nil
-		}
-		if backupSrv != nil {
-			if bst, ok := backupSrv.Status(backupID); ok && terminal(bst.State) {
-				if bst.State == serve.StateDone.String() {
-					r.mu.Lock()
-					r.stats.HedgeBackupWins++
-					r.mu.Unlock()
-					return st, &RouteResult{
-						Replica:   backupReplica,
-						Attempts:  out.Attempts,
-						Hedged:    true,
-						BackupWon: true,
-						Status:    bst,
-					}
-				}
-				// Failed backup: forget it, keep waiting on the primary.
-				backupSrv, backupID, backupReplica = nil, "", -1
-			}
-		}
-		if backupSrv == nil && budget > 0 && time.Since(start) > budget {
-			if i := r.pick(map[int]bool{primary: true}); i >= 0 {
-				if bid, err := r.replicas[i].Submit(req); err == nil {
-					backupSrv, backupID, backupReplica = r.replicas[i], bid, i
-					out.Hedged = true
-					r.noteSubmit(i, 1)
-					r.mu.Lock()
-					r.stats.Hedges++
-					r.mu.Unlock()
-				}
-			}
-			budget = 0 // one backup per request
+		if st, ok := srv.Status(id); ok && terminal(st.State) {
+			return st
 		}
 		select {
 		case <-ctx.Done():
-			return serve.JobStatus{ID: id, State: serve.StateFailed.String(), Error: ctx.Err().Error()}, nil
+			return serve.JobStatus{ID: id, State: serve.StateFailed.String(), Error: ctx.Err().Error()}
 		case <-tick.C:
 		}
 	}
@@ -342,50 +274,12 @@ func (r *Router) noteSubmit(replica, delta int) {
 	r.mu.Unlock()
 }
 
-func (r *Router) finish(wall time.Duration, done bool) {
+func (r *Router) finish(done bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if done {
 		r.stats.Completed++
-		r.samples = append(r.samples, wall)
-		if len(r.samples) > 4096 {
-			r.samples = append([]time.Duration(nil), r.samples[len(r.samples)-2048:]...)
-		}
 	} else {
 		r.stats.Failed++
 	}
-}
-
-// hedgeBudget derives the request-level hedge delay from observed
-// latencies, or 0 while disarmed.
-func (r *Router) hedgeBudget() time.Duration {
-	if !r.cfg.Hedge.Enabled {
-		return 0
-	}
-	cfg := r.cfg.Hedge
-	if cfg.Percentile <= 0 || cfg.Percentile > 100 {
-		cfg.Percentile = 95
-	}
-	if cfg.Factor <= 0 {
-		cfg.Factor = 2
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 8
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.samples)
-	if n < cfg.MinSamples {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), r.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(math.Ceil(cfg.Percentile/100*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return time.Duration(cfg.Factor * float64(sorted[idx]))
 }

@@ -123,6 +123,19 @@ type PipelineResult struct {
 	Resilience resilience.Report
 }
 
+// Digest captures everything about a request's outcome that the serving
+// tiers — cache, disk tier, scatter-gather cluster, replica router — must
+// never change: the modeled phase seconds, the MSA feature bytes and the
+// hit counters.
+func (p *PipelineResult) Digest() string {
+	return fmt.Sprintf("%s|%x|%x|%x|%x|%x|%d|%d|%d",
+		p.Sample,
+		p.MSASeconds, p.MSACPUSeconds, p.MSADiskSeconds,
+		p.Inference.ComputeSeconds, p.Inference.Total(),
+		p.MSAData.Features.Bytes(),
+		p.MSAData.TotalHitResidues, p.MSAData.SerialInstructions)
+}
+
 // TotalSeconds returns end-to-end wall time.
 func (p *PipelineResult) TotalSeconds() float64 {
 	return p.MSASeconds + p.Inference.Total()

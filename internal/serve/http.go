@@ -89,7 +89,7 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 		cs := s.compileCache.Stats()
 		snap.CompileCache = &cs
 	}
-	if s.qosEnabled() {
+	if s.cfg.QoS != nil {
 		snap.Tenants = s.cfg.QoS.Snapshot()
 	}
 	return snap

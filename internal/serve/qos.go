@@ -3,12 +3,13 @@ package serve
 // Multi-tenant QoS (DESIGN §15). With Config.QoS set, admission and MSA
 // scheduling become tenant-aware: every request carries a tenant ID and a
 // modeled arrival time, the qos.Controller decides admit/shed/degrade on
-// its virtual clock, and the single FIFO MSA queue is replaced by a
-// deficit-round-robin weighted-fair queue over chain-token costs. The
-// brownout ladder threads into the existing degradation machinery: an
-// over-quota request first loses chain-level hedging, then batches alone
-// (no shared-batch inflation), then runs with a tightened MSA budget that
-// engages the PR 2 drop-DB ladder, and finally is shed outright.
+// its virtual clock, and the MSA dispatch queue splits its single FIFO
+// sub-queue into per-tenant sub-queues drained by deficit round-robin
+// over chain-token costs. The brownout ladder threads into the existing
+// degradation machinery: an over-quota request first loses chain-level
+// hedging, then batches alone (no shared-batch inflation), then runs with
+// a tightened MSA budget that engages the drop-DB degradation ladder
+// (DESIGN §7), and finally is shed outright.
 //
 // Determinism: the controller never reads live pool state, the WFQ
 // allocates dispatch sequence numbers under its own lock, and an
@@ -24,9 +25,10 @@ import (
 	"afsysbench/internal/qos"
 )
 
-// qosEnabled reports whether the server runs the tenant-aware admission
-// and WFQ dispatch path.
-func (s *Server) qosEnabled() bool { return s.cfg.QoS != nil }
+// fifoKey is the one WFQ sub-queue every job shares without QoS and in
+// the QoS FIFO comparator: pops come out in global submission order —
+// true FIFO, not per-tenant round-robin.
+const fifoKey = "\x00fifo"
 
 // qosReasonCounter turns a shed-reason class into its metrics-counter
 // suffix ("rate-limited" -> "requests_shed_rate_limited").
@@ -53,8 +55,10 @@ type FairnessReport struct {
 	FIFO bool `json:"fifo,omitempty"`
 	// Tenants is the controller's per-tenant accounting, sorted by name.
 	Tenants []qos.TenantStats `json:"tenants"`
-	// Latencies is the modeled per-tenant latency table (same order).
+	// Latencies is the modeled per-tenant latency table (same order);
+	// Latency summarizes the same replay over every tenant.
 	Latencies []TenantLatency `json:"latencies"`
+	Latency   Percentiles     `json:"latency_modeled_ms"`
 	// DecisionDigest hashes the admission sequence (tenant, cost, admit,
 	// reason, level); DispatchDigest the WFQ pop sequence. Identical
 	// traces and seeds must reproduce both at any pool size.
@@ -91,7 +95,7 @@ func (r *FairnessReport) Stats(tenant string) qos.TenantStats {
 // trace, replaying it on cpuLanes/gpuLanes modeled lanes (defaults 4/2
 // when <= 0). Returns nil when QoS is disabled.
 func (s *Server) FairnessReport(cpuLanes, gpuLanes int) *FairnessReport {
-	if !s.qosEnabled() {
+	if s.cfg.QoS == nil {
 		return nil
 	}
 	if cpuLanes <= 0 {
@@ -108,7 +112,8 @@ func (s *Server) FairnessReport(cpuLanes, gpuLanes int) *FairnessReport {
 		ModeledCPULanes: cpuLanes,
 		ModeledGPULanes: gpuLanes,
 	}
-	byTenant := s.modeledTenantLatencies(cpuLanes, gpuLanes)
+	byTenant, all := s.modeledTenantLatencies(cpuLanes, gpuLanes)
+	rep.Latency = Summarize(all)
 	names := make([]string, 0, len(byTenant))
 	for name := range byTenant {
 		names = append(names, name)
@@ -130,62 +135,27 @@ func (s *Server) FairnessReport(cpuLanes, gpuLanes int) *FairnessReport {
 // cannot start before its modeled arrival), MSA-completion order fills
 // gpuLanes inference lanes, and a request's modeled latency is its
 // inference end minus its arrival — queueing delay included, wall clock
-// excluded. Milliseconds, grouped by tenant.
-func (s *Server) modeledTenantLatencies(cpuLanes, gpuLanes int) map[string][]float64 {
-	type item struct {
-		tenant   string
-		seq      int
-		arrival  float64
-		msa, inf float64
-		msaEnd   float64
-	}
+// excluded. Milliseconds, per tenant and overall, in inference order.
+func (s *Server) modeledTenantLatencies(cpuLanes, gpuLanes int) (map[string][]float64, []float64) {
 	s.mu.Lock()
-	var done []*item
+	var done []*Job
 	for _, job := range s.order {
-		if job.state != StateDone || job.result == nil {
-			continue
+		if job.state == StateDone && job.result != nil {
+			done = append(done, job)
 		}
-		done = append(done, &item{
-			tenant:  job.tenant,
-			seq:     job.dispatchSeq,
-			arrival: job.arrival,
-			msa:     job.chargedMSASeconds,
-			inf:     job.chargedInfSeconds,
-		})
+	}
+	sort.Slice(done, func(a, b int) bool { return done[a].dispatchSeq < done[b].dispatchSeq })
+	lanes := make([]laneJob, len(done))
+	for i, job := range done {
+		lanes[i] = laneJob{release: job.arrival, msa: job.chargedMSASeconds, inf: job.chargedInfSeconds}
 	}
 	s.mu.Unlock()
-	// MSA lanes in WFQ dispatch order.
-	sort.Slice(done, func(a, b int) bool { return done[a].seq < done[b].seq })
-	cpuFree := make([]float64, cpuLanes)
-	for _, it := range done {
-		w := argminLane(cpuFree)
-		start := cpuFree[w]
-		if it.arrival > start {
-			start = it.arrival
-		}
-		it.msaEnd = start + it.msa
-		cpuFree[w] = it.msaEnd
+	byTenant := make(map[string][]float64)
+	var all []float64
+	for _, i := range replayLanes(lanes, cpuLanes, gpuLanes) {
+		ms := (lanes[i].infEnd - done[i].arrival) * 1000
+		byTenant[done[i].tenant] = append(byTenant[done[i].tenant], ms)
+		all = append(all, ms)
 	}
-	// GPU lanes in MSA-completion order (dispatch seq breaks ties).
-	order := make([]*item, len(done))
-	copy(order, done)
-	sort.SliceStable(order, func(a, b int) bool {
-		if order[a].msaEnd != order[b].msaEnd {
-			return order[a].msaEnd < order[b].msaEnd
-		}
-		return order[a].seq < order[b].seq
-	})
-	gpuFree := make([]float64, gpuLanes)
-	out := make(map[string][]float64)
-	for _, it := range order {
-		g := argminLane(gpuFree)
-		start := gpuFree[g]
-		if it.msaEnd > start {
-			start = it.msaEnd
-		}
-		end := start + it.inf
-		gpuFree[g] = end
-		out[it.tenant] = append(out[it.tenant], (end-it.arrival)*1000)
-	}
-	return out
+	return byTenant, all
 }

@@ -269,14 +269,12 @@ type Readiness struct {
 // queue has room.
 func (s *Server) Ready() Readiness {
 	r := Readiness{
-		QueueDepth:    len(s.msaQ),
-		QueueCapacity: cap(s.msaQ),
+		QueueDepth:    s.wfq.Len(),
+		QueueCapacity: s.cfg.QueueDepth,
 	}
-	if s.wfq != nil {
-		// QoS mode: the WFQ holds the MSA backlog; saturation is judged by
-		// the controller's modeled occupancy, the same signal admission
-		// sheds on.
-		r.QueueDepth = s.wfq.Len()
+	if s.cfg.QoS != nil {
+		// QoS mode: saturation is judged by the controller's modeled
+		// occupancy, the same signal admission sheds on.
 		r.QueueSaturated = s.cfg.QoS.Occupancy() >= 1
 	} else {
 		r.QueueSaturated = r.QueueDepth >= r.QueueCapacity

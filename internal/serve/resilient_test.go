@@ -314,6 +314,64 @@ func TestHedgedServingKeepsResultsIdentical(t *testing.T) {
 	}
 }
 
+// TestHedgeBudget pins the chain-hedge delay estimator: unarmed below
+// MinSamples, nearest-rank percentile over the sorted window, Factor
+// scaling, and the window trimmed from 4096 to the latest 2048 samples.
+func TestHedgeBudget(t *testing.T) {
+	// desc returns n samples n ms down to 1 ms, so budget has to sort.
+	desc := func(n int) []time.Duration {
+		out := make([]time.Duration, n)
+		for i := range out {
+			out[i] = time.Duration(n-i) * time.Millisecond
+		}
+		return out
+	}
+	repeat := func(d time.Duration, n int) []time.Duration {
+		out := make([]time.Duration, n)
+		for i := range out {
+			out[i] = d
+		}
+		return out
+	}
+	cases := []struct {
+		name    string
+		cfg     HedgeConfig
+		samples []time.Duration
+		want    time.Duration
+		kept    int // window length after observing; 0 = len(samples)
+	}{
+		{"no samples", HedgeConfig{}, nil, 0, 0},
+		{"below MinSamples", HedgeConfig{MinSamples: 8, Factor: 1}, desc(7), 0, 0},
+		{"arms at MinSamples", HedgeConfig{MinSamples: 8, Factor: 1}, desc(8), 8 * time.Millisecond, 0},
+		{"p50 nearest rank", HedgeConfig{Percentile: 50, Factor: 1}, desc(10), 5 * time.Millisecond, 0},
+		{"p95 nearest rank", HedgeConfig{Percentile: 95, Factor: 1}, desc(20), 19 * time.Millisecond, 0},
+		{"factor scales", HedgeConfig{Percentile: 50, Factor: 2.5}, desc(10), 12500 * time.Microsecond, 0},
+		{"defaults p95 x2", HedgeConfig{}, desc(20), 38 * time.Millisecond, 0},
+		{"window full, no trim", HedgeConfig{Percentile: 100, Factor: 1},
+			append(repeat(time.Hour, 1), repeat(time.Millisecond, 4095)...), time.Hour, 4096},
+		{"trim keeps latest 2048", HedgeConfig{Percentile: 100, Factor: 1},
+			append(repeat(time.Hour, 2049), repeat(time.Millisecond, 2048)...), time.Millisecond, 2048},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHedgeEstimator(tc.cfg)
+			for _, d := range tc.samples {
+				h.observe("chain", d)
+			}
+			kept := tc.kept
+			if kept == 0 {
+				kept = len(tc.samples)
+			}
+			if len(h.samples) != kept {
+				t.Fatalf("window holds %d samples, want %d", len(h.samples), kept)
+			}
+			if got := h.budget(); got != tc.want {
+				t.Fatalf("budget() = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
 // TestReadyzEndpoint: readyz returns 200 on a healthy started server, 503
 // before Start, and 503 naming the breaker once one opens.
 func TestReadyzEndpoint(t *testing.T) {

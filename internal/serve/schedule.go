@@ -68,9 +68,7 @@ func (s Schedule) GPUUtilPct() float64 {
 // Stage durations are the modeled seconds each request was charged — a
 // cache hit charges zero MSA seconds, which is exactly how a hit buys
 // throughput. Failed or in-flight jobs are excluded. The replay is
-// list scheduling: each MSA goes to the earliest-free CPU lane in submit
-// order; each inference goes to the earliest-free GPU lane in order of
-// MSA completion (ordinal breaks ties), never before its own MSA ends.
+// replayLanes with every request released at time zero.
 func (s *Server) ModeledSchedule(cpuWorkers, gpuWorkers int) Schedule {
 	if cpuWorkers < 1 {
 		cpuWorkers = 1
@@ -78,83 +76,77 @@ func (s *Server) ModeledSchedule(cpuWorkers, gpuWorkers int) Schedule {
 	if gpuWorkers < 1 {
 		gpuWorkers = 1
 	}
+	sched := Schedule{CPUWorkers: cpuWorkers, GPUWorkers: gpuWorkers}
 	s.mu.Lock()
-	type stage struct {
-		id       string
-		sample   string
-		hit      bool
-		ordinal  int
-		msa, inf float64
-	}
-	var done []stage
+	var lanes []laneJob
 	for _, job := range s.order {
 		if job.state != StateDone || job.result == nil {
 			continue
 		}
-		done = append(done, stage{
-			id:      job.id,
-			sample:  job.in.Name,
-			hit:     job.cacheHit,
-			ordinal: job.ordinal,
-			// Charged inference seconds: the canonical total unbatched,
-			// the amortized batch share when the request rode a batched
-			// dispatch — so batching's fixed-cost amortization shows up
-			// in the modeled makespan exactly once per batch.
-			msa: job.chargedMSASeconds,
-			inf: job.chargedInfSeconds,
-		})
+		// Charged inference seconds: the canonical total unbatched, the
+		// amortized batch share when the request rode a batched dispatch —
+		// so batching's fixed-cost amortization shows up in the modeled
+		// makespan exactly once per batch.
+		lanes = append(lanes, laneJob{msa: job.chargedMSASeconds, inf: job.chargedInfSeconds})
+		sched.Items = append(sched.Items, ScheduleItem{ID: job.id, Sample: job.in.Name, CacheHit: job.cacheHit})
 	}
 	s.mu.Unlock()
-
-	sched := Schedule{CPUWorkers: cpuWorkers, GPUWorkers: gpuWorkers}
-	if len(done) == 0 {
-		return sched
-	}
-	items := make([]ScheduleItem, len(done))
-	cpuFree := make([]float64, cpuWorkers)
-	for i, st := range done {
-		w := argminLane(cpuFree)
-		start := cpuFree[w]
-		end := start + st.msa
-		cpuFree[w] = end
-		items[i] = ScheduleItem{
-			ID: st.id, Sample: st.sample, CacheHit: st.hit,
-			CPUWorker: w, MSAStart: start, MSAEnd: end,
+	replayLanes(lanes, cpuWorkers, gpuWorkers)
+	for i, l := range lanes {
+		it := &sched.Items[i]
+		it.CPUWorker, it.MSAStart, it.MSAEnd = l.cpu, l.msaStart, l.msaEnd
+		it.GPUWorker, it.InfStart, it.InfEnd = l.gpu, l.infStart, l.infEnd
+		sched.CPUBusy += l.msa
+		sched.GPUBusy += l.inf
+		if l.infEnd > sched.Makespan {
+			sched.Makespan = l.infEnd
 		}
-		sched.CPUBusy += st.msa
 	}
-	// Inference dispatch order: MSA completion time, ordinal tie-break —
-	// the deterministic analogue of "whoever's features are ready first".
-	order := make([]int, len(items))
+	return sched
+}
+
+// laneJob is one completed request in a modeled lane replay: its release
+// time (the earliest its MSA may start) and charged stage seconds in, its
+// lane placement out.
+type laneJob struct {
+	release, msa, inf float64
+	cpu, gpu          int
+	msaStart, msaEnd  float64
+	infStart, infEnd  float64
+}
+
+// replayLanes list-schedules jobs, already in dispatch order, on cpuLanes
+// MSA lanes and gpuLanes inference lanes: each MSA goes to the
+// earliest-free CPU lane in input order, never before its release; each
+// inference goes to the earliest-free GPU lane in order of MSA completion
+// (input order breaks ties — the deterministic analogue of "whoever's
+// features are ready first"), never before its own MSA ends. It returns
+// the inference dispatch order as indices into jobs.
+func replayLanes(jobs []laneJob, cpuLanes, gpuLanes int) []int {
+	cpuFree := make([]float64, cpuLanes)
+	for i := range jobs {
+		j := &jobs[i]
+		j.cpu = argminLane(cpuFree)
+		j.msaStart = max(cpuFree[j.cpu], j.release)
+		j.msaEnd = j.msaStart + j.msa
+		cpuFree[j.cpu] = j.msaEnd
+	}
+	order := make([]int, len(jobs))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if items[ia].MSAEnd != items[ib].MSAEnd {
-			return items[ia].MSAEnd < items[ib].MSAEnd
-		}
-		return done[ia].ordinal < done[ib].ordinal
+		return jobs[order[a]].msaEnd < jobs[order[b]].msaEnd
 	})
-	gpuFree := make([]float64, gpuWorkers)
+	gpuFree := make([]float64, gpuLanes)
 	for _, i := range order {
-		g := argminLane(gpuFree)
-		start := gpuFree[g]
-		if items[i].MSAEnd > start {
-			start = items[i].MSAEnd
-		}
-		end := start + done[i].inf
-		gpuFree[g] = end
-		items[i].GPUWorker = g
-		items[i].InfStart = start
-		items[i].InfEnd = end
-		sched.GPUBusy += done[i].inf
-		if end > sched.Makespan {
-			sched.Makespan = end
-		}
+		j := &jobs[i]
+		j.gpu = argminLane(gpuFree)
+		j.infStart = max(gpuFree[j.gpu], j.msaEnd)
+		j.infEnd = j.infStart + j.inf
+		gpuFree[j.gpu] = j.infEnd
 	}
-	sched.Items = items
-	return sched
+	return order
 }
 
 // SerialMakespan returns the modeled makespan of the same completed trace

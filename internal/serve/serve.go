@@ -131,8 +131,10 @@ type Config struct {
 	MSAWorkers int
 	// GPUWorkers bounds concurrent inference stages (the accelerator pool).
 	GPUWorkers int
-	// QueueDepth bounds the admission queue; a submit that finds it full
-	// is shed with resilience.ErrOverloaded.
+	// QueueDepth bounds the admission queue; without QoS a submit that
+	// finds QueueDepth jobs waiting for an MSA worker is shed with
+	// resilience.ErrOverloaded. With QoS the controller decides admission
+	// and this bound applies only to the GPU hand-off queue.
 	QueueDepth int
 	// Cache is the content-addressed MSA cache, keyed per chain: two
 	// requests sharing a chain sequence share its search, even when the
@@ -207,9 +209,10 @@ type Config struct {
 	// QoS enables multi-tenant admission and weighted-fair MSA dispatch
 	// (see qos.go): requests carry a tenant ID and modeled arrival, the
 	// controller decides admit/shed/degrade on its virtual clock, and the
-	// FIFO MSA queue becomes a deficit-round-robin WFQ over chain-token
-	// costs. The controller is deliberately shareable across replicas (one
-	// quota cluster-wide). nil keeps the legacy channel-based admission.
+	// MSA dispatch queue splits into per-tenant sub-queues drained by
+	// deficit round-robin over chain-token costs. The controller is
+	// deliberately shareable across replicas (one quota cluster-wide). nil
+	// keeps one FIFO sub-queue bounded at QueueDepth jobs.
 	QoS *qos.Controller
 	// BrownoutMSABudget is the modeled MSA budget (seconds) imposed on
 	// requests degraded to qos.LevelDropDB, engaging the database-drop
@@ -307,10 +310,10 @@ type Job struct {
 	batchID      string
 	batchSize    int
 	bucketTokens int
-	// tenant/arrival/qosLevel/dispatchSeq are the QoS coordinates (QoS
-	// mode only): the owning tenant, the modeled arrival the admission
-	// decision ran at, the brownout rung the request runs under, and the
-	// WFQ dispatch sequence number assigned at pop time.
+	// tenant/arrival/qosLevel are the QoS coordinates (QoS mode only): the
+	// owning tenant, the modeled arrival the admission decision ran at and
+	// the brownout rung the request runs under. dispatchSeq is the WFQ
+	// dispatch sequence number assigned at pop time.
 	tenant      string
 	arrival     float64
 	qosLevel    qos.Level
@@ -384,15 +387,14 @@ type Server struct {
 	killCtx    context.Context
 	killCancel context.CancelFunc
 
-	msaQ chan *Job
 	infQ chan *Job
 	wgA  sync.WaitGroup // MSA workers
 	wgB  sync.WaitGroup // GPU workers
 
-	// wfq replaces msaQ as the MSA dispatch queue in QoS mode: per-tenant
-	// FIFO sub-queues drained by deficit round-robin over chain-token
-	// costs (nil without Config.QoS). epoch anchors wall-clock arrival
-	// stamps for live HTTP traffic.
+	// wfq is the MSA dispatch queue: one FIFO sub-queue without
+	// Config.QoS, per-tenant FIFO sub-queues drained by deficit
+	// round-robin over chain-token costs with it. epoch anchors
+	// wall-clock arrival stamps for live HTTP traffic.
 	wfq   *qos.WFQ[*Job]
 	epoch time.Time
 
@@ -443,15 +445,16 @@ func NewWithSuite(suite *core.Suite, cfg Config) *Server {
 		suite: suite,
 		cfg:   cfg,
 		jobs:  make(map[string]*Job),
-		msaQ:  make(chan *Job, cfg.QueueDepth),
 		infQ:  make(chan *Job, cfg.QueueDepth),
+		epoch: time.Now(),
 	}
 	s.killCtx, s.killCancel = context.WithCancel(context.Background())
 	s.idle.L = &s.mu
+	var weight func(string) float64
 	if cfg.QoS != nil {
-		s.wfq = qos.NewWFQ[*Job](0, cfg.QoS.Weight)
-		s.epoch = time.Now()
+		weight = cfg.QoS.Weight
 	}
+	s.wfq = qos.NewWFQ[*Job](0, weight)
 	s.initBreakers()
 	s.initBatching()
 	if cfg.Cache != nil && cfg.DiskCache != nil {
@@ -515,12 +518,9 @@ func (s *Server) Stop() {
 	s.stopped = true
 	started := s.started
 	s.mu.Unlock()
-	if s.wfq != nil {
-		// QoS mode: the WFQ is the MSA dispatch queue — closing it drains
-		// the backlog and releases the pool.
-		s.wfq.Close()
-	}
-	close(s.msaQ)
+	// Closing the dispatch queue lets the MSA pool drain the backlog and
+	// exit.
+	s.wfq.Close()
 	if started {
 		s.wgA.Wait()
 	}
@@ -588,11 +588,13 @@ func (s *Server) Submit(req Request) (string, error) {
 	} else if s.cfg.MSAAttempts > 1 {
 		job.checkpoint = msa.NewCheckpoint()
 	}
-	if s.qosEnabled() {
+	cost := float64(in.TotalResidues())
+	key := fifoKey
+	if s.cfg.QoS != nil {
 		// Tenant-aware admission: the controller decides on its modeled
 		// clock — rate limit, modeled queue bound, brownout ladder — and an
-		// admitted job enters the weighted-fair queue at its chain-token
-		// cost instead of the FIFO channel.
+		// admitted job enters its tenant's sub-queue at its chain-token
+		// cost.
 		tenant := req.Tenant
 		if tenant == "" {
 			tenant = "default"
@@ -601,7 +603,6 @@ func (s *Server) Submit(req Request) (string, error) {
 		if arrival < 0 {
 			arrival = time.Since(s.epoch).Seconds()
 		}
-		cost := float64(in.TotalResidues())
 		d := s.cfg.QoS.Admit(tenant, arrival, cost)
 		if !d.Admit {
 			s.cfg.Metrics.Add("requests_shed", 1)
@@ -619,23 +620,15 @@ func (s *Server) Submit(req Request) (string, error) {
 		if d.Level > qos.LevelNone {
 			s.cfg.Metrics.Add("requests_brownout", 1)
 		}
-		key := tenant
-		if s.cfg.QoS.Config().FIFO {
-			// The unprotected comparator: one shared sub-queue, so pops
-			// come out in global submission order — true FIFO, not
-			// per-tenant round-robin.
-			key = "\x00fifo"
+		if !s.cfg.QoS.Config().FIFO {
+			key = tenant
 		}
-		s.wfq.Push(key, cost, job)
-	} else {
-		select {
-		case s.msaQ <- job:
-		default:
-			s.cfg.Metrics.Add("requests_shed", 1)
-			s.cfg.Metrics.Add(qosReasonCounter(resilience.ShedQueueFull.String()), 1)
-			return "", resilience.ErrOverloaded{Queued: len(s.msaQ), Capacity: cap(s.msaQ)}
-		}
+	} else if queued := s.wfq.Len(); queued >= s.cfg.QueueDepth {
+		s.cfg.Metrics.Add("requests_shed", 1)
+		s.cfg.Metrics.Add(qosReasonCounter(resilience.ShedQueueFull.String()), 1)
+		return "", resilience.ErrOverloaded{Queued: queued, Capacity: s.cfg.QueueDepth}
 	}
+	s.wfq.Push(key, cost, job)
 	s.jobs[job.id] = job
 	s.order = append(s.order, job)
 	s.pending++
@@ -728,12 +721,10 @@ func (s *Server) statusLocked(job *Job) JobStatus {
 		ChainsMem:   job.chainsMem,
 		ChainsDisk:  job.chainsDisk,
 		ChainsFresh: job.chainsFresh,
+		Tenant:      job.tenant,
 	}
-	if s.qosEnabled() {
-		st.Tenant = job.tenant
-		if job.qosLevel > qos.LevelNone {
-			st.QoSLevel = job.qosLevel.String()
-		}
+	if job.qosLevel > qos.LevelNone {
+		st.QoSLevel = job.qosLevel.String()
 	}
 	if job.err != nil {
 		st.Error = job.err.Error()
@@ -946,24 +937,20 @@ func (s *Server) msaWorker() {
 	defer s.wgA.Done()
 	s.adjustLive(&s.msaLive, 1)
 	defer s.adjustLive(&s.msaLive, -1)
-	if s.wfq != nil {
-		// QoS mode: pop the weighted-fair queue. The sequence number is
-		// allocated under the WFQ lock, so the (job, seq) pairing — and
-		// therefore the dispatch digest — is identical no matter how many
-		// workers race here.
-		for {
-			job, seq, ok := s.wfq.Pop()
-			if !ok {
-				return
-			}
-			s.mu.Lock()
-			job.dispatchSeq = seq
-			s.mu.Unlock()
-			s.cfg.QoS.RecordDispatch(job.tenant, seq)
-			s.runMSAGuarded(job)
+	// The sequence number is allocated under the WFQ lock, so the
+	// (job, seq) pairing — and therefore the QoS dispatch digest — is
+	// identical no matter how many workers race here.
+	for {
+		job, seq, ok := s.wfq.Pop()
+		if !ok {
+			return
 		}
-	}
-	for job := range s.msaQ {
+		s.mu.Lock()
+		job.dispatchSeq = seq
+		s.mu.Unlock()
+		if s.cfg.QoS != nil {
+			s.cfg.QoS.RecordDispatch(job.tenant, seq)
+		}
 		s.runMSAGuarded(job)
 	}
 }

@@ -180,9 +180,19 @@ func TestDeterministicShed(t *testing.T) {
 	if _, err := s.Submit(Request{Sample: "1YY9"}); err != nil {
 		t.Fatalf("first submit: %v", err)
 	}
+	// Not started, one job waiting against a bound of one: the readiness
+	// probe must report the queue saturated, the same verdict Submit sheds
+	// on.
+	if rd := s.Ready(); rd.Ready || !rd.QueueSaturated || rd.QueueDepth != 1 || rd.QueueCapacity != 1 {
+		t.Fatalf("Ready() = %+v, want saturated 1/1 and not ready", rd)
+	}
 	_, err := s.Submit(Request{Sample: "1YY9"})
 	if !resilience.IsOverloaded(err) {
 		t.Fatalf("expected overload, got %v", err)
+	}
+	var ov resilience.ErrOverloaded
+	if !errors.As(err, &ov) || ov.Queued != 1 || ov.Capacity != 1 {
+		t.Fatalf("overload error = %#v, want Queued == Capacity == 1", err)
 	}
 	if ErrorClass(err) != "overloaded-queue-full" {
 		t.Fatalf("ErrorClass = %q", ErrorClass(err))
